@@ -7,8 +7,8 @@ induction, extract extraction, detail-page observation building, and
 two record segmenters (a WSAT(OIP)-style CSP solver and a factored
 probabilistic model learned with EM) — plus the substrates the
 evaluation needs: a deterministic hidden-web site simulator standing
-in for the paper's 12 live 2003-era sites, a crawler with a
-list/detail page classifier, three layout-based baselines, and the
+in for the paper's 12 live 2003-era sites, a crawler that picks
+detail pages by template clustering, three layout-based baselines, and the
 scoring/reporting machinery that regenerates every table in the
 paper.
 

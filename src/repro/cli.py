@@ -974,8 +974,6 @@ def _cmd_ingest(args, out) -> int:
     previous = load_previous_manifest(args.out) if args.incremental else None
     if previous is not None:
         report = reingest_pages(pages, previous, config, obs=run_obs)
-        report.crawl_health = crawl_health
-        manifest = write_reingest(report, args.out)
         bundle_total = report.bundle_count
         stale_bundles = list(report.stale_bundles)
     else:
@@ -986,14 +984,26 @@ def _cmd_ingest(args, out) -> int:
                 file=out,
             )
         report = ingest_pages(pages, config, obs=run_obs)
-        report.crawl_health = crawl_health
-        manifest = write_bundles(report, args.out)
         bundle_total = len(report.bundles)
         stale_bundles = []
+    report.crawl_health = crawl_health
 
+    # Invalidate before committing: the manifest written below is the
+    # next run's diff base, so once it lands a retry no longer sees
+    # these bundles as stale.  A failed invalidation therefore leaves
+    # the previous manifest (and bundle dirs) untouched.
     invalidation = None
     if args.store or args.wrapper_cache_dir:
         invalidation = _ingest_invalidate(args, stale_bundles, run_obs, out)
+        failure = invalidation.get("error") or invalidation["errors"]
+        if failure:
+            print(f"invalidation failed, nothing written: {failure}", file=out)
+            _emit_obs(args, obs, out)
+            return 1
+    if previous is not None:
+        manifest = write_reingest(report, args.out)
+    else:
+        manifest = write_bundles(report, args.out)
 
     if args.json:
         summary = report.as_dict()
@@ -1027,7 +1037,7 @@ def _cmd_ingest(args, out) -> int:
                 f"({report.reprocessed_page_count} pages re-processed)",
                 file=out,
             )
-        if invalidation is not None and "error" not in invalidation:
+        if invalidation is not None:
             print(
                 f"invalidated: {invalidation['store_sites_removed']} "
                 f"store sites, {invalidation['wrappers_invalidated']} "

@@ -2,21 +2,19 @@
 
 Automates the step the paper performed by hand ("From each site, we
 randomly selected two list pages and manually downloaded the detail
-pages"): given a list page, follow every link in document order,
-fetch what resolves, and use the
-:class:`~repro.crawl.classifier.PageClassifier` to separate the detail
-pages from advertisements and other chrome targets.  Detail pages are
+pages"): given a list page, :func:`crawl_list_page` follows every
+link in document order, fetches what resolves, and separates the
+detail pages from advertisements and other chrome targets with the
+ingest front door's template clusterer
+(:func:`~repro.ingest.cluster.split_detail_pages`).  Detail pages are
 returned in link order, which is the record order the segmenters
 assume.
 
-Failure handling is two-tier: :meth:`Crawler.try_collect` records a
-degenerate page (nothing fetchable) in the result instead of raising,
-and :func:`crawl_generated_site` crawls every list page even when some
-fail — one dead results page quarantines that page, not the site.
-:func:`crawl_site` is the fault-aware variant: it routes every fetch
-through a :class:`~repro.crawl.resilient.ResilientFetcher` (optionally
-over a :class:`~repro.sitegen.faults.FaultPlan` transport) and returns
-a :class:`SiteCrawl` carrying the
+:func:`crawl_site` crawls every list page of a simulator site through
+a :class:`~repro.crawl.resilient.ResilientFetcher` (optionally over a
+:class:`~repro.sitegen.faults.FaultPlan` transport).  A list page with
+nothing fetchable is recorded as failed and quarantined instead of
+aborting the site, and the returned :class:`SiteCrawl` carries the
 :class:`~repro.crawl.resilient.CrawlHealth` report.
 """
 
@@ -24,8 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.exceptions import CrawlError
-from repro.crawl.classifier import ClassifierConfig, PageClassifier
 from repro.crawl.fetcher import SiteFetcher
 from repro.crawl.resilient import (
     CrawlBudget,
@@ -33,41 +29,19 @@ from repro.crawl.resilient import (
     ResilientFetcher,
     RetryPolicy,
 )
+from repro.ingest.cluster import split_detail_pages
 from repro.obs import Observability, current as current_obs
 from repro.sitegen.faults import FaultPlan, FaultyTransport
 from repro.sitegen.site import GeneratedSite
-from repro.webdoc.html import EventKind, lex_html
+from repro.webdoc.html import extract_links
 from repro.webdoc.page import Page
 
 __all__ = [
     "CrawlResult",
-    "Crawler",
     "SiteCrawl",
-    "crawl_generated_site",
+    "crawl_list_page",
     "crawl_site",
-    "extract_links",
 ]
-
-
-def extract_links(html: str) -> list[str]:
-    """Every ``href`` target in document order, first occurrence only.
-
-    Fragment-only links are skipped; a URL linked twice (a row's name
-    link and its "More Info" link) is reported once, at its first
-    position — preserving record order.
-    """
-    seen: set[str] = set()
-    links: list[str] = []
-    for event in lex_html(html):
-        if event.kind is not EventKind.TAG_OPEN or event.data != "a":
-            continue
-        href = event.attrs.get("href", "").strip()
-        if not href or href.startswith("#"):
-            continue
-        if href not in seen:
-            seen.add(href)
-            links.append(href)
-    return links
 
 
 @dataclass
@@ -96,53 +70,30 @@ class CrawlResult:
         return self.error is not None
 
 
-class Crawler:
-    """Fetch and classify everything a list page links to."""
+def crawl_list_page(
+    fetcher: SiteFetcher | ResilientFetcher, list_page: Page
+) -> CrawlResult:
+    """Fetch and classify everything one list page links to.
 
-    def __init__(
-        self,
-        fetcher: SiteFetcher | ResilientFetcher,
-        classifier_config: ClassifierConfig | None = None,
-    ) -> None:
-        self.fetcher = fetcher
-        self.classifier = PageClassifier(classifier_config)
-
-    def try_collect(self, list_page: Page) -> CrawlResult:
-        """Crawl one list page, recording failure instead of raising.
-
-        A page whose links are all dead comes back with ``error`` set
-        and empty page lists — a quarantinable partial result.
-        """
-        result = CrawlResult(list_page=list_page)
-        fetched: list[Page] = []
-        for url in extract_links(list_page.html):
-            if url == list_page.url:
-                continue
-            page = self.fetcher.try_fetch(url)
-            if page is None:
-                result.dead_links.append(url)
-            else:
-                fetched.append(page)
-        if not fetched:
-            result.error = (
-                f"list page {list_page.url!r} links to no fetchable pages"
-            )
-            return result
-        details, others = self.classifier.split_details(fetched)
-        result.detail_pages = details
-        result.other_pages = others
+    Failure is recorded, not raised: a page whose links are all dead
+    comes back with ``error`` set and empty page lists — a
+    quarantinable partial result.
+    """
+    result = CrawlResult(list_page=list_page)
+    fetched: list[Page] = []
+    for url in extract_links(list_page.html):
+        if url == list_page.url:
+            continue
+        page = fetcher.try_fetch(url)
+        if page is None:
+            result.dead_links.append(url)
+        else:
+            fetched.append(page)
+    if not fetched:
+        result.error = f"list page {list_page.url!r} links to no fetchable pages"
         return result
-
-    def collect(self, list_page: Page) -> CrawlResult:
-        """Strict variant of :meth:`try_collect`.
-
-        Raises:
-            CrawlError: the page links to nothing fetchable at all.
-        """
-        result = self.try_collect(list_page)
-        if result.failed:
-            raise CrawlError(result.error)
-        return result
+    result.detail_pages, result.other_pages = split_detail_pages(fetched)
+    return result
 
 
 @dataclass
@@ -162,30 +113,8 @@ class SiteCrawl:
     health: CrawlHealth = field(default_factory=CrawlHealth)
 
 
-def crawl_generated_site(
-    site: GeneratedSite,
-    classifier_config: ClassifierConfig | None = None,
-) -> tuple[list[Page], list[list[Page]], list[CrawlResult]]:
-    """Crawl every list page of a simulator site.
-
-    Returns the tuple the segmentation pipeline wants — (list pages,
-    detail pages per list page) — plus the raw crawl results for
-    inspection.  A list page whose links are all dead no longer aborts
-    the site: its result carries ``error`` and empty detail pages.
-    """
-    fetcher = SiteFetcher(site)
-    crawler = Crawler(fetcher, classifier_config)
-    results = [crawler.try_collect(page) for page in site.list_pages]
-    return (
-        list(site.list_pages),
-        [result.detail_pages for result in results],
-        results,
-    )
-
-
 def crawl_site(
     site: GeneratedSite,
-    classifier_config: ClassifierConfig | None = None,
     *,
     fault_plan: FaultPlan | None = None,
     retry: RetryPolicy | None = None,
@@ -211,7 +140,6 @@ def crawl_site(
     obs = obs if obs is not None else current_obs()
     transport = site if fault_plan is None else FaultyTransport(site, fault_plan)
     fetcher = ResilientFetcher(transport, retry=retry, budget=budget, obs=obs)
-    crawler = Crawler(fetcher, classifier_config)
     crawl = SiteCrawl(health=fetcher.health)
 
     with obs.span(
@@ -219,7 +147,7 @@ def crawl_site(
     ) as site_span:
         for list_page in site.list_pages:
             with obs.span("crawl.list_page", url=list_page.url) as page_span:
-                result = crawler.try_collect(list_page)
+                result = crawl_list_page(fetcher, list_page)
                 page_span.attributes["detail_pages"] = len(result.detail_pages)
                 page_span.attributes["dead_links"] = len(result.dead_links)
                 crawl.results.append(result)

@@ -24,10 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.exceptions import CrawlError
-from repro.crawl.classifier import ClassifierConfig
-from repro.crawl.crawler import CrawlResult, Crawler, extract_links
+from repro.crawl.crawler import CrawlResult, crawl_list_page
 from repro.crawl.fetcher import SiteFetcher
-from repro.webdoc.html import EventKind, lex_html
+from repro.webdoc.html import EventKind, extract_links, lex_html
 from repro.webdoc.page import Page
 
 __all__ = ["DiscoveredSite", "discover_site", "extract_links_with_text", "follow_next_chain"]
@@ -38,7 +37,7 @@ def extract_links_with_text(html: str) -> list[tuple[str, str]]:
 
     Anchor text is the visible text up to the matching ``</a>``
     (whitespace-normalized).  Unlike
-    :func:`~repro.crawl.crawler.extract_links`, the same href may
+    :func:`~repro.webdoc.html.extract_links`, the same href may
     appear more than once when its anchors carry different texts: the
     caller may care about each anchor's text separately.  Only exact
     ``(href, text)`` duplicates are collapsed.
@@ -125,7 +124,6 @@ def discover_site(
     index_url: str,
     min_details: int = 2,
     max_chain: int = 10,
-    classifier_config: ClassifierConfig | None = None,
 ) -> DiscoveredSite:
     """Navigate from the entry page to the pipeline's inputs.
 
@@ -135,14 +133,12 @@ def discover_site(
         min_details: a chain page must link to at least this many
             same-template pages to count as a list page.
         max_chain: Next-chain length cap.
-        classifier_config: detail-classifier settings.
 
     Raises:
         CrawlError: no link off the entry page leads to a valid
             results chain.
     """
     index = fetcher.fetch(index_url)
-    crawler = Crawler(fetcher, classifier_config)
 
     for url in extract_links(index.html):
         start = fetcher.try_fetch(url)
@@ -151,12 +147,8 @@ def discover_site(
         chain = follow_next_chain(fetcher, start, max_chain)
         results: list[CrawlResult] = []
         for page in chain:
-            try:
-                result = crawler.collect(page)
-            except CrawlError:
-                results = []
-                break
-            if len(result.detail_pages) < min_details:
+            result = crawl_list_page(fetcher, page)
+            if result.failed or len(result.detail_pages) < min_details:
                 results = []
                 break
             results.append(result)

@@ -47,7 +47,7 @@ from repro.ingest.cluster import (
 from repro.ingest.fingerprint import PageProfile, ShingleSpace, profile_pages
 from repro.obs import Observability, current
 from repro.webdoc.page import Page
-from repro.webdoc.store import save_sample
+from repro.webdoc.store import save_sample, write_atomic
 
 __all__ = [
     "IngestConfig",
@@ -513,9 +513,10 @@ def write_bundles(
             bundle.detail_pages_per_list,
         )
     manifest_path = out_dir / INGEST_MANIFEST_NAME
-    manifest_path.write_text(
-        json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-        newline="\n",
+    write_atomic(
+        manifest_path,
+        (json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n").encode(
+            "utf-8"
+        ),
     )
     return manifest_path

@@ -15,20 +15,30 @@ must satisfy two requirements from the front door's contract:
 
 The clusterer is index-fast: an inverted shingle→cluster index finds
 the candidate clusters for each page in time proportional to the
-page's fingerprint size, never by scanning all pages pairwise (the
-difference from ``crawl/classifier.py``, which this module supersedes
-at crawl scale).  All tie-breaks go to the lowest cluster id, and
-cluster ids follow input order, so the result is a pure function of
-the input sequence.
+page's fingerprint size, never by scanning all pages pairwise.  All
+tie-breaks go to the lowest cluster id, and cluster ids follow input
+order, so the result is a pure function of the input sequence.
+
+The same clusterer finds detail pages among the pages one list page
+links to (paper Section 6.1: detail pages "generated from the same
+template, will look similar to one another and different from
+advertisement pages"): :func:`split_detail_pages` takes the largest
+cluster.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.ingest.fingerprint import PageProfile
+from repro.ingest.fingerprint import PageProfile, profile_pages
+from repro.webdoc.page import Page
 
-__all__ = ["ClusterConfig", "TemplateCluster", "cluster_profiles"]
+__all__ = [
+    "ClusterConfig",
+    "TemplateCluster",
+    "cluster_profiles",
+    "split_detail_pages",
+]
 
 
 @dataclass(frozen=True)
@@ -167,3 +177,19 @@ def _merge_near_duplicates(
                     clusters[b].members = []
                     clusters[b].shingles = set()
                     merged = True
+
+
+def split_detail_pages(pages: list[Page]) -> tuple[list[Page], list[Page]]:
+    """Partition one list page's link targets into (details, others).
+
+    The largest template cluster is taken to be the detail pages; ties
+    go to the cluster whose first member comes first in link order.
+    Input order is preserved within each part.
+    """
+    if not pages:
+        return [], []
+    clusters = cluster_profiles(profile_pages(pages))
+    detail_members = set(max(clusters, key=len).members)
+    details = [page for i, page in enumerate(pages) if i in detail_members]
+    others = [page for i, page in enumerate(pages) if i not in detail_members]
+    return details, others

@@ -42,7 +42,6 @@ import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.crawl.crawler import extract_links
 from repro.ingest.bundle import (
     INGEST_MANIFEST_NAME,
     IngestConfig,
@@ -53,8 +52,9 @@ from repro.ingest.bundle import (
     page_fingerprint,
 )
 from repro.obs import Observability, current
+from repro.webdoc.html import extract_links
 from repro.webdoc.page import Page
-from repro.webdoc.store import save_sample
+from repro.webdoc.store import save_sample, write_atomic
 
 __all__ = [
     "CrawlDiff",
@@ -433,9 +433,10 @@ def write_reingest(
             bundle.detail_pages_per_list,
         )
     manifest_path = out_dir / INGEST_MANIFEST_NAME
-    manifest_path.write_text(
-        json.dumps(reingest.as_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-        newline="\n",
+    write_atomic(
+        manifest_path,
+        (json.dumps(reingest.as_dict(), indent=2, sort_keys=True) + "\n").encode(
+            "utf-8"
+        ),
     )
     return manifest_path

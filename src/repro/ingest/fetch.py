@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from repro.crawl.crawler import extract_links
 from repro.crawl.resilient import (
     GAP_BUDGET,
     CircuitBreaker,
@@ -45,7 +44,9 @@ from repro.crawl.resilient import (
 )
 from repro.ingest.bundle import page_fingerprint
 from repro.obs import Observability, current
+from repro.webdoc.html import extract_links
 from repro.webdoc.page import Page
+from repro.webdoc.store import write_atomic
 
 __all__ = [
     "CRAWL_SNAPSHOT_NAME",
@@ -197,10 +198,9 @@ def write_snapshot(crawl: FetchedCrawl, directory: str | Path) -> Path:
         "crawl_health": crawl.health.as_dict(),
     }
     manifest_path = directory / CRAWL_SNAPSHOT_NAME
-    manifest_path.write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-        newline="\n",
+    write_atomic(
+        manifest_path,
+        (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"),
     )
     return manifest_path
 

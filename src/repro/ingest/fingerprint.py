@@ -9,8 +9,7 @@ for every text run — and the atom sequence is shingled into k-grams.
 Two pages from the same template then share most of their shingle
 *sets*, and template grouping becomes set similarity.
 
-Unlike ``crawl/classifier.py``'s pairwise Jaccard over token-text
-sets, fingerprints are built for index-fast comparison: atoms and
+Fingerprints are built for index-fast comparison: atoms and
 shingles are interned through a corpus-scoped
 :class:`~repro.webdoc.interning.TokenTable` (PR 7's dense-int
 interning), so a page's fingerprint is a sorted tuple of small ints

@@ -41,12 +41,12 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import tempfile
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
 from repro.obs import NULL_OBS, Observability
+from repro.webdoc.store import write_atomic
 
 __all__ = ["CacheStats", "MemoryStageCache", "StageCache", "fingerprint"]
 
@@ -200,20 +200,7 @@ class StageCache:
         path = self._path(stage, key)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        blob = hashlib.sha256(payload).digest() + payload
-        handle = tempfile.NamedTemporaryFile(
-            dir=path.parent, prefix=".tmp-", delete=False
-        )
-        try:
-            with handle:
-                handle.write(blob)
-            os.replace(handle.name, path)
-        except BaseException:
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
-            raise
+        write_atomic(path, hashlib.sha256(payload).digest() + payload)
         if self.max_bytes is not None:
             self._prune(keep=path)
 

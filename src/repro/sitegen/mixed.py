@@ -58,6 +58,7 @@ from repro.sitegen.rng import SiteRng
 from repro.sitegen.site import GeneratedSite, RowLayout, SiteSpec
 from repro.sitegen.sweeps import _INMATE_LABELS, _PARCEL_LABELS
 from repro.webdoc.page import Page
+from repro.webdoc.store import write_atomic
 
 __all__ = [
     "CRAWL_MANIFEST_NAME",
@@ -595,8 +596,8 @@ def write_crawl(corpus: MixedCorpus, directory: str | Path) -> Path:
         ],
     }
     manifest_path = directory / CRAWL_MANIFEST_NAME
-    manifest_path.write_text(
-        json.dumps(manifest, indent=2) + "\n", encoding="utf-8", newline="\n"
+    write_atomic(
+        manifest_path, (json.dumps(manifest, indent=2) + "\n").encode("utf-8")
     )
     return manifest_path
 

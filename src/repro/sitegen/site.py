@@ -10,7 +10,7 @@ deterministic set of pages with the structure the paper relies on:
   template, showing the record's fields (possibly re-spelled or
   omitted by quirks) plus detail-only extras;
 * **decoy pages** — advertisement pages linked from list pages, for
-  exercising the crawler's list/detail classifier.
+  exercising the crawler's detail-page clustering.
 
 Ground truth is captured as character spans: each rendered row records
 ``(record_index, start, end)`` into the list page's HTML, so any

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from repro.core.exceptions import HtmlParseError
 
-__all__ = ["EventKind", "HtmlEvent", "lex_html", "strip_tags"]
+__all__ = ["EventKind", "HtmlEvent", "extract_links", "lex_html", "strip_tags"]
 
 
 class EventKind(enum.Enum):
@@ -112,6 +112,27 @@ def lex_html(document: str) -> list[HtmlEvent]:
         pos = _lex_markup(events, document, lt)
 
     return events
+
+
+def extract_links(html: str) -> list[str]:
+    """Every ``href`` target in document order, first occurrence only.
+
+    Fragment-only links are skipped; a URL linked twice (a row's name
+    link and its "More Info" link) is reported once, at its first
+    position — preserving record order.
+    """
+    seen: set[str] = set()
+    links: list[str] = []
+    for event in lex_html(html):
+        if event.kind is not EventKind.TAG_OPEN or event.data != "a":
+            continue
+        href = event.attrs.get("href", "").strip()
+        if not href or href.startswith("#"):
+            continue
+        if href not in seen:
+            seen.add(href)
+            links.append(href)
+    return links
 
 
 def _emit_text(events: list[HtmlEvent], document: str, start: int, end: int) -> None:

@@ -29,8 +29,8 @@ class Page:
             pipeline never fetches anything over a network.
         html: the raw HTML payload.
         kind: optional role annotation (``"list"`` / ``"detail"`` /
-            ``"other"``); filled in by the crawler's classifier or by
-            the site generator.  Purely informational.
+            ``"other"``); filled in by the site generator.  Purely
+            informational.
     """
 
     url: str
@@ -40,9 +40,6 @@ class Page:
         default=None, repr=False, compare=False
     )
     _text_tokens: "list[Token] | None" = field(
-        default=None, repr=False, compare=False
-    )
-    _token_text_set: "frozenset[str] | None" = field(
         default=None, repr=False, compare=False
     )
 
@@ -66,20 +63,6 @@ class Page:
             ]
         return self._text_tokens
 
-    def token_text_set(self) -> "frozenset[str]":
-        """The set of distinct token texts on the page (cached).
-
-        Pairwise page-similarity scoring intersects these sets for
-        every page pair; caching the set here keeps that O(n²) loop
-        from re-tokenizing (and re-building the set for) each page on
-        every call.
-        """
-        if self._token_text_set is None:
-            self._token_text_set = frozenset(
-                token.text for token in self.tokens()
-            )
-        return self._token_text_set
-
     def prime_tokens(self, tokens: "list[Token]") -> None:
         """Install an externally computed token stream.
 
@@ -89,13 +72,11 @@ class Page:
         """
         self._tokens = tokens
         self._text_tokens = None
-        self._token_text_set = None
 
     def invalidate_cache(self) -> None:
         """Drop the cached token streams (after mutating ``html``)."""
         self._tokens = None
         self._text_tokens = None
-        self._token_text_set = None
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         role = f" [{self.kind}]" if self.kind else ""

@@ -12,6 +12,10 @@ It serves two purposes:
   :func:`load_sample` hands the pipeline exactly what
   ``segment_site`` wants.
 
+Every manifest write in the package goes through :func:`write_atomic`,
+so a reader sees the previous manifest or the new one, never a torn
+file.
+
 Manifest schema (``sample.json``)::
 
     {
@@ -26,19 +30,42 @@ Manifest schema (``sample.json``)::
 from __future__ import annotations
 
 import json
+import os
+import secrets
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.exceptions import ReproError
 from repro.webdoc.page import Page
 
-__all__ = ["PageSample", "load_sample", "save_sample"]
+__all__ = ["PageSample", "load_sample", "save_sample", "write_atomic"]
 
 MANIFEST_NAME = "sample.json"
 
 
 class SampleError(ReproError):
     """A sample directory is missing files or malformed."""
+
+
+def write_atomic(path: Path, data: bytes) -> None:
+    """Replace ``path`` with ``data`` in one step (torn-write safe).
+
+    The bytes go to a ``.tmp-`` sibling first and are renamed over
+    ``path``; on any failure the sibling is removed and ``path`` keeps
+    its previous contents.
+    """
+    tmp = path.parent / f".tmp-{secrets.token_hex(8)}"
+    handle = open(tmp, "xb")
+    try:
+        with handle:
+            handle.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 @dataclass
@@ -83,9 +110,7 @@ def save_sample(
             }
         )
     manifest_path = directory / MANIFEST_NAME
-    manifest_path.write_text(
-        json.dumps(manifest, indent=2), encoding="utf-8"
-    )
+    write_atomic(manifest_path, json.dumps(manifest, indent=2).encode("utf-8"))
     return manifest_path
 
 

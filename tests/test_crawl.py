@@ -1,15 +1,27 @@
-"""Tests for the crawler, fetcher and page classifier."""
+"""Tests for the crawler, fetcher and detail-page clustering."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.exceptions import CrawlError, FetchError
-from repro.crawl.classifier import ClassifierConfig, PageClassifier, page_similarity
-from repro.crawl.crawler import Crawler, crawl_generated_site, extract_links
+from repro.core.exceptions import FetchError
+from repro.crawl import crawl_list_page, crawl_site, extract_links
 from repro.crawl.fetcher import SiteFetcher
+from repro.ingest.cluster import (
+    ClusterConfig,
+    cluster_profiles,
+    split_detail_pages,
+)
+from repro.ingest.fingerprint import profile_pages
 from repro.sitegen.corpus import build_site
 from repro.webdoc.page import Page
+
+
+def cluster_sizes(pages, config=None):
+    return sorted(
+        len(cluster)
+        for cluster in cluster_profiles(profile_pages(pages), config)
+    )
 
 
 class TestExtractLinks:
@@ -103,70 +115,69 @@ class TestFetcher:
 
 
 class TestClassifier:
+    """Section 6.1: detail pages cluster together, ads stand apart."""
+
     def test_same_template_pages_similar(self):
         site = build_site("ohio")
         details = site.detail_pages(0)
-        assert page_similarity(details[0], details[1]) > 0.5
+        assert cluster_sizes(details[:2]) == [2]
 
     def test_different_template_pages_dissimilar(self):
         site = build_site("ohio")
         detail = site.detail_pages(0)[0]
         ad = site.fetch("ohio-ad0.html")
-        assert page_similarity(detail, ad) < 0.3
+        assert cluster_sizes([detail, ad]) == [1, 1]
 
     def test_identical_pages_similarity_one(self):
-        page = Page("x", "<p>same content</p>")
-        assert page_similarity(page, page) == 1.0
+        pages = [Page("x", "<p>same content</p>"), Page("y", "<p>same content</p>")]
+        assert cluster_sizes(pages) == [2]
 
     def test_clusters_split_details_from_ads(self):
         site = build_site("ohio")
         pages = site.detail_pages(0) + [site.fetch("ohio-ad0.html")]
-        clusters = PageClassifier().clusters(pages)
-        sizes = sorted(len(cluster) for cluster in clusters)
-        assert sizes == [1, 10]
+        assert cluster_sizes(pages) == [1, 10]
 
     def test_split_details_preserves_order(self):
         site = build_site("ohio")
         details = site.detail_pages(0)
         mixed = [site.fetch("ohio-ad0.html")] + details
-        found, others = PageClassifier().split_details(mixed)
+        found, others = split_detail_pages(mixed)
         assert [p.url for p in found] == [p.url for p in details]
         assert len(others) == 1
 
+    def test_tie_goes_to_first_cluster(self):
+        site = build_site("ohio")
+        detail = site.detail_pages(0)[0]
+        ad = site.fetch("ohio-ad0.html")
+        found, others = split_detail_pages([ad, detail])
+        assert found == [ad] and others == [detail]
+
     def test_empty_input(self):
-        details, others = PageClassifier().split_details([])
+        details, others = split_detail_pages([])
         assert details == [] and others == []
 
     def test_threshold_config(self):
         # An absurd threshold keeps everything separate.
         site = build_site("ohio")
         pages = site.detail_pages(0)[:3]
-        clusters = PageClassifier(ClassifierConfig(similarity_threshold=1.01)).clusters(pages)
-        assert len(clusters) == 3
+        config = ClusterConfig(join_threshold=1.01, merge_threshold=1.01)
+        assert cluster_sizes(pages, config) == [1, 1, 1]
 
     def test_one_tokenization_pass_per_page(self, monkeypatch):
-        # Regression: the O(n²) clustering loop used to rebuild both
-        # pages' token-text sets on every pairwise call.  Each page
-        # must now be tokenized exactly once, however many comparisons
-        # it participates in.
-        import repro.tokens.tokenizer as tokenizer_module
+        # Splitting lexes each page once, whatever the page count.
+        import repro.ingest.fingerprint as fingerprint_module
 
         site = build_site("ohio")
-        pages = [
-            Page(page.url, page.html)
-            for page in site.detail_pages(0) + [site.fetch("ohio-ad0.html")]
-        ]
+        pages = site.detail_pages(0) + [site.fetch("ohio-ad0.html")]
         calls: list[str] = []
-        real_tokenize = tokenizer_module.tokenize_html
+        real_lex = fingerprint_module.lex_html
 
-        def counting_tokenize(html):
+        def counting_lex(html):
             calls.append(html)
-            return real_tokenize(html)
+            return real_lex(html)
 
-        monkeypatch.setattr(
-            tokenizer_module, "tokenize_html", counting_tokenize
-        )
-        PageClassifier().clusters(pages)
+        monkeypatch.setattr(fingerprint_module, "lex_html", counting_lex)
+        split_detail_pages(pages)
         assert len(calls) == len(pages)
 
 
@@ -174,30 +185,27 @@ class TestCrawler:
     @pytest.mark.parametrize("name", ["ohio", "allegheny", "superpages", "amazon"])
     def test_crawl_recovers_detail_pages_in_order(self, name):
         site = build_site(name)
-        _, details_per_list, results = crawl_generated_site(site)
-        for page_index, crawled in enumerate(details_per_list):
+        crawl = crawl_site(site)
+        for page_index, crawled in enumerate(crawl.detail_pages_per_list):
             expected = [p.url for p in site.detail_pages(page_index)]
             assert [p.url for p in crawled] == expected
-            assert results[page_index].dead_links  # chrome links 404
+            assert crawl.results[page_index].dead_links  # chrome links 404
 
     def test_ads_classified_as_other(self):
         site = build_site("ohio")
-        _, _, results = crawl_generated_site(site)
-        other_urls = {p.url for p in results[0].other_pages}
+        crawl = crawl_site(site)
+        other_urls = {p.url for p in crawl.results[0].other_pages}
         assert "ohio-ad0.html" in other_urls
 
-    def test_unfetchable_page_raises(self):
+    def test_unfetchable_page_fails(self):
         site = build_site("ohio")
-        crawler = Crawler(SiteFetcher(site))
         lonely = Page("x", '<a href="gone.html">only dead link</a>')
-        with pytest.raises(CrawlError):
-            crawler.collect(lonely)
+        assert crawl_list_page(SiteFetcher(site), lonely).failed
 
-    def test_try_collect_records_failure_instead_of_raising(self):
+    def test_crawl_list_page_records_failure_instead_of_raising(self):
         site = build_site("ohio")
-        crawler = Crawler(SiteFetcher(site))
         lonely = Page("x", '<a href="gone.html">only dead link</a>')
-        result = crawler.try_collect(lonely)
+        result = crawl_list_page(SiteFetcher(site), lonely)
         assert result.failed
         assert "no fetchable pages" in result.error
         assert result.detail_pages == []
@@ -215,11 +223,13 @@ class TestCrawler:
         original = site.list_pages[0]
         site.list_pages[0] = dead
         try:
-            list_pages, details_per_list, results = crawl_generated_site(site)
+            crawl = crawl_site(site)
         finally:
             site.list_pages[0] = original
+        results = crawl.results
         assert len(results) == len(site.list_pages)
-        assert results[0].failed and details_per_list[0] == []
+        assert results[0].failed and results[0].detail_pages == []
+        assert crawl.health.quarantined_pages == [dead.url]
         assert not results[1].failed
         expected = [p.url for p in site.detail_pages(1)]
-        assert [p.url for p in details_per_list[1]] == expected
+        assert [p.url for p in results[1].detail_pages] == expected

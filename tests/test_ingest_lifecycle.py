@@ -419,6 +419,57 @@ class TestCliLifecycle:
         assert summary["invalidation"]["errors"] == []
         assert summary["invalidation"]["sites"] == summary["stale_bundles"]
 
+    def test_failed_invalidation_keeps_previous_manifest(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Invalidation must happen before the merged manifest is
+        # committed: if the store cannot drop a stale site, the command
+        # fails and the old manifest stays the diff base, so a retry
+        # still sees (and drops) the removed sub-site.
+        from repro.cli import main
+        from repro.ingest import INGEST_MANIFEST_NAME
+        from repro.store import RelationalStore, StoreError
+        from repro.store import ingest_pages as store_ingest
+
+        gen0, gen1 = tmp_path / "g0", tmp_path / "g1"
+        out, db = tmp_path / "bundles", tmp_path / "rel.db"
+        base = ["export-corpus", "--mixed", "4", "--seed", "11"]
+        assert main(base[:1] + [str(gen0)] + base[1:]) == 0
+        assert main(
+            base[:1] + [str(gen1)] + base[1:] + ["--generation", "1"]
+        ) == 0
+        assert main(["ingest", str(gen0), "--out", str(out)]) == 0
+        entry = {
+            "url": "mix003-list0.html",
+            "records": [{"texts": ["Ann", "Fraud"], "columns": [0, 1]}],
+            "record_count": 1,
+            "names": {"L0": "Name", "L1": "Charge"},
+        }
+        with RelationalStore(db) as store:
+            store_ingest(store, "mix003-list0", "prob", [entry])
+        manifest = out / INGEST_MANIFEST_NAME
+        before = manifest.read_bytes()
+        incremental = [
+            "ingest", str(gen1), "--out", str(out),
+            "--incremental", "--store", str(db),
+        ]
+
+        def broken_remove(self, site_id):
+            raise StoreError("disk full")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(RelationalStore, "remove_site", broken_remove)
+            assert main(incremental) != 0
+        assert manifest.read_bytes() == before
+        assert (out / "mix003-list0").is_dir()
+
+        capsys.readouterr()
+        assert main(incremental) == 0
+        with RelationalStore(db) as store:
+            sites = [row["site_id"] for row in store.sites()]
+        assert "mix003-list0" not in sites
+        assert not (out / "mix003-list0").exists()
+
     def test_fetch_mode_threads_crawl_health(self, tmp_path, capsys):
         from repro.cli import main
         from repro.sitegen.mixed import write_crawl
