@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 from pathlib import Path
 from time import perf_counter
 
@@ -102,6 +103,8 @@ def test_perf_smoke_tokens_per_second(corpus, capsys):
             "tokens": tokens,
             "serial_s": round(elapsed, 3),
             "tokens_per_s": round(tokens_per_s, 1),
+            "cores": os.cpu_count(),
+            "python": platform.python_version(),
         }
         BASELINE_PATH.write_text(json.dumps(data, indent=2) + "\n")
         with capsys.disabled():

@@ -16,6 +16,11 @@ assignment; a constraint whose interval cannot meet its bound prunes
 the branch, and a free variable whose value would make some constraint
 unmeetable is forced (unit propagation).  Search effort is capped by a
 node budget.
+
+A third role, **soft-floor proving** (:func:`soft_floor`), reuses the
+same search to prove a lower bound on a system's soft violation, which
+lets the local search stop as soon as it reaches that bound (see
+``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -26,9 +31,12 @@ from repro.core.exceptions import SolverBudgetExceededError
 from repro.csp.constraints import ConstraintSystem, Relation
 from repro.obs.clock import Clock, SystemClock
 
-__all__ = ["ExactConfig", "ExactResult", "ExactSolver"]
+__all__ = ["ExactConfig", "ExactResult", "ExactSolver", "soft_floor"]
 
 _UNSET = -1
+
+#: Node budget for one whole :func:`soft_floor` sweep (all ``k`` tried).
+_FLOOR_NODE_BUDGET = 2_000
 
 
 @dataclass(frozen=True)
@@ -194,9 +202,16 @@ class ExactSolver:
     # -- assignment bookkeeping -------------------------------------------
 
     def _assign(self, var: int, value: int, trail: _Trail) -> bool:
-        """Assign and update intervals; False on immediate conflict."""
+        """Assign and update intervals; False on immediate conflict.
+
+        Every interval is updated even after a conflict shows, because
+        :meth:`_unassign` reverts them all: stopping early would leave
+        the later intervals too wide once undone, and a too-wide
+        interval lets a violated constraint pass as satisfied.
+        """
         self._assignment[var] = value
         trail.push(var)
+        feasible = True
         for constraint_id, coef in self._var_constraints[var]:
             # The variable's contribution collapses from its range to
             # coef*value.
@@ -210,9 +225,9 @@ class ExactSolver:
                     self._lhs_max[constraint_id] += coef
                 else:
                     self._lhs_min[constraint_id] -= coef
-            if not self._interval_feasible(constraint_id):
-                return False
-        return True
+            if feasible and not self._interval_feasible(constraint_id):
+                feasible = False
+        return feasible
 
     def _unassign(self, var: int) -> None:
         value = self._assignment[var]
@@ -342,6 +357,56 @@ class ExactSolver:
             if value == _UNSET:
                 return var
         return None
+
+
+def soft_floor(system: ConstraintSystem) -> float:
+    """A proven lower bound on ``system``'s soft violation.
+
+    The bound covers every assignment that satisfies the hard
+    constraints.  It applies when all weights are 1 and every soft
+    constraint is an assign-me constraint (positive unit coefficients,
+    ``>= 1``), the shape :func:`repro.csp.relaxation.encode_at_level`
+    emits.  The soft violation is then the number of violated soft
+    constraints, and both local-search scores are exact integer counts.
+    For any other system the function returns the trivial bound 0.0.
+
+    Each soft constraint ``j`` becomes the hard constraint
+    ``terms_j + u_j >= 1`` over a fresh indicator ``u_j``.  For
+    ``k = 0, 1, ...`` the exact solver then decides the hard constraints
+    plus ``sum(u) <= k``; the first satisfiable ``k`` is the optimum.
+    When the sweep's node budget runs out while testing ``k``, ``k`` is
+    returned: every smaller value was already proven infeasible.
+    """
+    soft = [c for c in system.constraints if not c.hard]
+    shaped = all(c.weight == 1 for c in system.constraints) and all(
+        c.relation is Relation.GE
+        and c.bound == 1
+        and all(coef == 1 for coef, _ in c.terms)
+        for c in soft
+    )
+    if not soft or not shaped:
+        return 0.0
+    base = system.num_vars
+    indicators = [(1, base + j) for j in range(len(soft))]
+    covered = ConstraintSystem(num_vars=base + len(soft))
+    covered.constraints.extend(system.hard_constraints)
+    for indicator, constraint in zip(indicators, soft):
+        covered.add([*constraint.terms, indicator], Relation.GE, 1)
+    remaining = _FLOOR_NODE_BUDGET
+    for k in range(len(soft) + 1):
+        capped = ConstraintSystem(
+            num_vars=covered.num_vars, constraints=list(covered.constraints)
+        )
+        capped.add(indicators, Relation.LE, k)
+        try:
+            result = ExactSolver(capped, ExactConfig(node_budget=remaining)).solve()
+        except SolverBudgetExceededError:
+            return float(k)
+        if result.satisfiable:
+            return float(k)
+        remaining -= result.nodes
+    # The hard constraints alone are infeasible: nothing to bound.
+    return 0.0
 
 
 def _feasible(relation: Relation, bound: int, low: int, high: int) -> bool:

@@ -13,7 +13,10 @@ Orchestrates encoding, solving and relaxation:
    seed (every extract dropped into a random record of its ``D_i``, so
    uniqueness starts satisfied); if the search fails, the probe's
    satisfying assignment (when it found one) backstops it;
-4. on failure, climb the relaxation ladder and repeat;
+4. on failure, climb the relaxation ladder and repeat; on the fully
+   relaxed rung, first prove a lower bound on the soft violation
+   (:func:`~repro.csp.exact.soft_floor`) so the search stops as soon as
+   it reaches that proven optimum;
 5. decode the winning assignment into a
    :class:`~repro.core.results.Segmentation`, applying the paper's
    rest-of-the-data attachment rule.
@@ -23,7 +26,10 @@ proves unsatisfiable the local search could never have produced a
 solution (its result was always discarded), and on every other rung
 the search runs with exactly the trajectory it always had, so the
 winning rung and assignment — hence the segmentation — are identical
-to the probe-less formulation.
+to the probe-less formulation.  The stop at the soft floor in step 4
+is output-preserving for the same kind of reason: the search only
+replaces its best state on a strict improvement, and nothing improves
+on a proven optimum.
 
 The result's ``meta`` records which rung won, whether a solution was
 found at all, and per-rung solver diagnostics — the inputs for Table
@@ -33,7 +39,8 @@ When handed an :class:`~repro.obs.Observability` bundle the segmenter
 additionally emits a ``csp.segment`` span with one ``csp.level`` child
 per rung attempted, and books solver effort into the registry
 (``csp.wsat.flips``, ``csp.wsat.restarts``,
-``csp.wsat.unsat_constraints``, ``csp.exact.nodes``,
+``csp.wsat.unsat_constraints``, ``csp.wsat.bound``,
+``csp.wsat.stopped_at_bound``, ``csp.exact.nodes``,
 ``csp.exact.backtracks``, ``csp.relaxations`` — see
 ``docs/observability.md``).
 """
@@ -46,7 +53,7 @@ from dataclasses import dataclass, field
 from repro.core.exceptions import EmptyProblemError, SolverBudgetExceededError
 from repro.core.results import Segmentation
 from repro.csp.encoder import EncoderConfig, EncodingMemo, SegmentationCsp
-from repro.csp.exact import ExactConfig, ExactSolver
+from repro.csp.exact import ExactConfig, ExactSolver, soft_floor
 from repro.csp.relaxation import RelaxationLevel, encode_at_level
 from repro.csp.wsat import WsatConfig, WsatSolver
 from repro.extraction.observations import ObservationTable
@@ -143,11 +150,16 @@ class CspSegmenter:
         # Every rung failed (even RELAXED, which is unusual): fall back
         # to the best local-search assignment of the last rung so the
         # caller still gets the most consistent partial segmentation.
-        # The memo makes this revisit of the RELAXED rung free.
+        # The memo makes this revisit of the RELAXED rung free, and the
+        # rung's diagnostics carry its proven floor, so this search is
+        # the very one the rung ran.
         problem = self._encode(memo, table, RelaxationLevel.RELAXED)
         result = WsatSolver(
             problem.system, self.config.wsat, clock=self.obs.clock
-        ).solve(self._seed_assignment(problem))
+        ).solve(
+            self._seed_assignment(problem),
+            soft_floor=attempts[-1]["soft_floor"],  # type: ignore[arg-type]
+        )
         self._record_wsat(result)
         assignment_map = problem.decode(result.assignment)
         return Segmentation.from_assignment(
@@ -239,12 +251,29 @@ class CspSegmenter:
                     self.obs.counter("csp.wsat.skipped_unsat").inc()
                     return {"assignment": None, "diag": diag}
 
+            # The fully relaxed rung optimizes a soft objective that
+            # rarely reaches 0; a proven floor lets the search stop at
+            # the optimum instead of spending its whole flip budget.
+            floor = 0.0
+            if exact_eligible and level is RelaxationLevel.RELAXED:
+                floor = soft_floor(problem.system)
+                self.obs.counter("csp.wsat.bound").inc(int(floor))
             wsat_result = WsatSolver(
                 problem.system, self.config.wsat, clock=self.obs.clock
-            ).solve(self._seed_assignment(problem))
+            ).solve(self._seed_assignment(problem), soft_floor=floor)
             self._record_wsat(wsat_result)
             span.attributes["wsat_satisfied"] = wsat_result.satisfied
             span.attributes["wsat_flips"] = wsat_result.flips
+            if level is RelaxationLevel.RELAXED:
+                if wsat_result.satisfied and wsat_result.best_soft_violation == floor:
+                    self.obs.counter("csp.wsat.stopped_at_bound").inc()
+                budget = self.config.wsat.max_flips * max(
+                    1, self.config.wsat.max_restarts
+                )
+                diag["soft_floor"] = span.attributes["soft_floor"] = floor
+                diag["flips_saved"] = span.attributes["flips_saved"] = (
+                    budget - wsat_result.flips
+                )
             diag["wsat_satisfied"] = wsat_result.satisfied
             diag["wsat_violation"] = wsat_result.best_violation
             diag["wsat_flips"] = wsat_result.flips

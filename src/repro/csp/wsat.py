@@ -25,6 +25,15 @@ This implementation follows that recipe:
 
 The solver is deterministic given its ``seed``.
 
+**Stopping at a proven optimum.**  ``solve(soft_floor=L)`` takes a
+proven lower bound ``L`` on the soft violation of hard-feasible
+assignments (:func:`repro.csp.exact.soft_floor`) and stops the moment
+the best key reaches ``(0, L)``.  The best state is only ever replaced
+on a *strict* improvement, and nothing improves on ``(0, L)``, so the
+returned assignment is the one the full flip budget would have
+returned; only ``flips``, ``restarts`` and ``delta_evals`` shrink.  The
+default ``L = 0`` is the plain "everything satisfied" stop.
+
 The inner loop is *delta-evaluating*: flipping a variable touches only
 the constraints containing it, so the solver compiles, per variable,
 the tuple of (constraint, coefficient, bound, relation, weight, ...)
@@ -186,12 +195,16 @@ class WsatSolver:
 
     # -- public API ------------------------------------------------------
 
-    def solve(self, initial: list[int] | None = None) -> WsatResult:
+    def solve(
+        self, initial: list[int] | None = None, soft_floor: float = 0.0
+    ) -> WsatResult:
         """Run the search; ``initial`` seeds the first restart.
 
         The best assignment is tracked lexicographically: first by hard
         violation, then by soft violation — a hard-feasible assignment
-        with worse soft score always beats a hard-infeasible one.
+        with worse soft score always beats a hard-infeasible one.  The
+        search stops once the best key is ``(0, soft_floor)``, which
+        must be a proven lower bound (see the module docstring).
         """
         start_time = self.clock.now()
         rng = random.Random(self.config.seed)
@@ -201,6 +214,7 @@ class WsatSolver:
             list(initial) if initial else [0] * self.system.num_vars
         )
         best_key = (float("inf"), float("inf"))
+        stop_key = (0.0, soft_floor)
         total_flips = 0
         restarts_done = 0
 
@@ -210,12 +224,12 @@ class WsatSolver:
                 assignment = list(initial)
             else:
                 assignment = self._random_assignment(rng)
-            key, flips = self._search(assignment, rng, best_key)
+            key, flips = self._search(assignment, rng, best_key, stop_key)
             total_flips += flips
             if key < best_key:
                 best_key = key
                 best_assignment = list(assignment)
-            if best_key == (0.0, 0.0):
+            if best_key == stop_key:
                 break
 
         return WsatResult(
@@ -260,11 +274,13 @@ class WsatSolver:
         assignment: list[int],
         rng: random.Random,
         global_best: tuple[float, float],
+        stop_key: tuple[float, float],
     ) -> tuple[tuple[float, float], int]:
         """One restart: local search from ``assignment`` (mutated in place).
 
         Returns ((best hard, best soft) violation reached, flips used).
         ``assignment`` holds the best state of this restart on return.
+        The restart ends early once its best key equals ``stop_key``.
 
         The body is one flat loop over compiled per-variable rows: the
         greedy score delta and the flip application each delta-evaluate
@@ -299,8 +315,10 @@ class WsatSolver:
                 unsat_pos[constraint_id] = len(unsat_list)
                 unsat_list.append(constraint_id)
 
-        last_flip = [-(10**9)] * self.system.num_vars
         best_key = (hard_score, soft_score)
+        if best_key == stop_key:
+            return best_key, 0
+        last_flip = [-(10**9)] * self.system.num_vars
         best_state = list(assignment)
         tenure = self.config.tabu_tenure
         noise = self.config.noise
@@ -395,6 +413,9 @@ class WsatSolver:
             ):
                 best_key = (hard_score, soft_score)
                 best_state = list(assignment)
+                if best_key == stop_key:
+                    self.delta_evals += delta_evals
+                    return best_key, flip + 1
 
         assignment[:] = best_state
         self.delta_evals += delta_evals

@@ -7,9 +7,11 @@ import pytest
 from repro.core.exceptions import EmptyProblemError
 from repro.csp.constraints import Relation
 from repro.csp.relaxation import RelaxationLevel, encode_at_level
+from repro.csp import segmenter as segmenter_module
 from repro.csp.segmenter import CspConfig, CspSegmenter
 from repro.csp.wsat import WsatConfig
 from repro.extraction.observations import ObservationTable
+from repro.obs import Observability
 from tests.conftest import PAPER_TABLE2, build_observation_table
 
 
@@ -89,6 +91,46 @@ class TestSegmenter:
             if observation.extract.text == "Parole"
         )
         assert kept == 1
+
+    def test_relaxed_rung_stops_at_proven_floor(self, monkeypatch):
+        # Michigan scenario: two of the three "Parole" extracts must go
+        # unassigned, so the proven soft floor is 2.
+        table = build_observation_table(
+            [
+                ("Parole", {0: (99,)}),
+                ("anchor-a", {0: (10,)}),
+                ("Parole", {0: (99,)}),
+                ("anchor-b", {1: (20,)}),
+                ("Parole", {0: (99,)}),
+            ],
+            detail_count=2,
+        )
+        obs = Observability()
+        segmentation = CspSegmenter(obs=obs).segment(table)
+        relaxed = segmentation.meta["attempts"][-1]
+        assert relaxed["level"] == "RELAXED"
+        assert relaxed["soft_floor"] == 2.0
+        budget = WsatConfig().max_flips * WsatConfig().max_restarts
+        assert relaxed["flips_saved"] == budget - relaxed["wsat_flips"] > 0
+        counters = obs.metrics.as_dict()["counters"]
+        assert counters["csp.wsat.bound"] == 2
+        assert counters["csp.wsat.stopped_at_bound"] == 1
+        (span,) = [
+            span
+            for span in obs.tracer.find("csp.level")
+            if span.attributes["level"] == "RELAXED"
+        ]
+        assert span.attributes["soft_floor"] == 2.0
+        assert span.attributes["flips_saved"] == relaxed["flips_saved"]
+
+        # Without the floor the search spends its whole budget and
+        # lands on the same segmentation.
+        monkeypatch.setattr(segmenter_module, "soft_floor", lambda system: 0.0)
+        unbounded = CspSegmenter().segment(table)
+        assert unbounded.meta["attempts"][-1]["flips_saved"] == 0
+        assert [sorted(r.assigned_seqs) for r in unbounded.records] == [
+            sorted(r.assigned_seqs) for r in segmentation.records
+        ]
 
     def test_attempt_diagnostics_recorded(self):
         table = build_observation_table(

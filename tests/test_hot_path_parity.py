@@ -27,7 +27,7 @@ import pytest
 
 from repro.core.pipeline import SegmentationPipeline
 from repro.runner.cache import fingerprint
-from repro.sitegen.corpus import build_site
+from repro.sitegen.corpus import SITE_BUILDERS, build_site
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "hot_path_golden.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())["sites"]
@@ -35,7 +35,7 @@ GOLDEN = json.loads(GOLDEN_PATH.read_text())["sites"]
 #: Sites whose list/detail inconsistencies push the CSP segmenter up
 #: the relaxation ladder — the ones where solver-side shortcuts are
 #: most tempting and parity is most at risk.
-DIRTY_SITES = ("amazon", "bnbooks", "michigan", "minnesota")
+DIRTY_SITES = ("amazon", "bnbooks", "canada411", "michigan", "minnesota", "yahoo")
 
 
 def run_digest(site_name: str, method: str) -> str:
@@ -80,7 +80,7 @@ class TestGoldenFileShape:
     """The golden file itself stays usable as a re-recording target."""
 
     def test_covers_both_methods_everywhere(self) -> None:
-        assert len(GOLDEN) >= 8
+        assert set(GOLDEN) == set(SITE_BUILDERS)
         for site_name, digests in GOLDEN.items():
             assert set(digests) == {"csp", "prob"}, site_name
             for digest in digests.values():
